@@ -851,7 +851,9 @@ class ClusterCoordinator:
     def _reap_link_locked(
         self, link: _WorkerLink
     ) -> "tuple[int, list[tuple[_WorkerLink, _Shard]], bool] | None":
-        """Mark one link dead and requeue its orphans (lock held).
+        """Mark one link dead, end its membership, and requeue its orphans.
+
+        Called with the coordinator lock held.
 
         **The single dedup/requeue code path** for every way a worker
         leaves: socket EOF/reset (reader loop), heartbeat timeout
@@ -874,9 +876,13 @@ class ClusterCoordinator:
         closing = self._closed
         reassigned = 0
         if not closing:
+            # Membership first: whoever sees the counter move also sees
+            # the worker's final state.
             if link.draining:
+                self.membership.record_leave(link.worker_id)
                 self.counters["workers_left"] += 1
             else:
+                self.membership.record_death(link.worker_id)
                 self.counters["workers_lost"] += 1
         orphans = list(link.in_flight.values()) + list(link.queued)
         link.in_flight.clear()
@@ -904,14 +910,12 @@ class ClusterCoordinator:
         link.channel.close()
         if not closing:
             if graceful:
-                self.membership.record_leave(link.worker_id)
                 log_event(
                     _LOG, "info", "worker_left",
                     worker=link.worker_id, reason=reason,
                     shards_reassigned=reassigned,
                 )
             else:
-                self.membership.record_death(link.worker_id)
                 _CLUSTER_WORKERS_LOST.inc()
                 log_event(
                     _LOG, "warning", "worker_lost",

@@ -37,7 +37,7 @@ decisions, aggregate resource usage, and throughput (the pre-PR-1
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 

@@ -11,6 +11,7 @@ or as a classifier.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -36,6 +37,25 @@ class FastTextConfig:
     batch_size: int = 32
     l2: float = 1e-5
     seed: int = 17
+
+
+@functools.lru_cache(maxsize=1 << 15)
+def _word_bucket_ids(word: str, n_buckets: int, ngram_min: int, ngram_max: int) -> bytes:
+    """Bucket ids of one word: its word hash, then every char n-gram hash.
+
+    N-grams are taken over ``<word>`` for ``n`` in ``[ngram_min, ngram_max]``,
+    shortest first.  The ids are returned as the bytes of an ``int32`` array:
+    immutable, so the memo can share them, and joined with one
+    ``bytes.join`` per text.
+    """
+    padded = f"<{word}>"
+    ids = [stable_hash("ft-word", word) % n_buckets]
+    for n in range(ngram_min, ngram_max + 1):
+        ids.extend(
+            stable_hash("ft-char", padded[i : i + n]) % n_buckets
+            for i in range(len(padded) - n + 1)
+        )
+    return np.asarray(ids, dtype=np.int32).tobytes()
 
 
 class FastTextModel:
@@ -71,21 +91,25 @@ class FastTextModel:
     # Encoding
     # ------------------------------------------------------------------ #
     def bucket_ids(self, text: str) -> np.ndarray:
-        """Hashed feature ids (words + character n-grams) of a text."""
+        """Hashed feature ids (words + character n-grams) of a text.
+
+        Each word's ids come from :func:`_word_bucket_ids`, a module-level
+        memo bounded at ``1 << 15`` words (least recently used evicted), so a
+        word seen before costs one lookup instead of a BLAKE2b hash per
+        n-gram (a dozen or more).  The memo lives at module level rather
+        than on the model, so pickling a model into worker processes carries
+        no extra bytes; its entries are pure functions of the word and the
+        hashing hyper-parameters, so ids are identical with or without it.
+        """
         cfg = self.config
         words = self._tokenizer.words(text)[: cfg.max_tokens]
-        ids: list[int] = []
-        for word in words:
-            ids.append(stable_hash("ft-word", word) % cfg.n_buckets)
-            padded = f"<{word}>"
-            for n in range(cfg.char_ngram_min, cfg.char_ngram_max + 1):
-                if len(padded) < n:
-                    continue
-                for i in range(len(padded) - n + 1):
-                    ids.append(stable_hash("ft-char", padded[i : i + n]) % cfg.n_buckets)
-        if not ids:
-            ids = [0]
-        return np.asarray(ids, dtype=np.int64)
+        if not words:
+            return np.zeros(1, dtype=np.int64)
+        packed = b"".join(
+            _word_bucket_ids(word, cfg.n_buckets, cfg.char_ngram_min, cfg.char_ngram_max)
+            for word in words
+        )
+        return np.frombuffer(packed, dtype=np.int32).astype(np.int64)
 
     def text_vector(self, text: str) -> np.ndarray:
         """Mean embedding of a text's hashed features."""

@@ -13,10 +13,12 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,9 +26,21 @@ from repro.documents import lexicon
 from repro.documents.metadata import DocumentMetadata
 from repro.utils.hashing import stable_hash
 
-_VOWELS = set("aeiou")
-_MATH_GLYPHS = set("∂∇Σ∫∞αβγλμσθφωε·×√^_{}\\=+")
-_WORD_RE = re.compile(r"[A-Za-z]+")
+_MATH_GLYPHS = frozenset("∂∇Σ∫∞αβγλμσθφωε·×√^_{}\\=+")
+# An ASCII-letter word of four or more letters, none of them a vowel.
+_VOWEL_FREE_WORD_RE = re.compile(r"[b-df-hj-np-tv-zB-DF-HJ-NP-TV-Z]{4,}")
+
+
+def _count_where(counts: Counter[str], predicate: Callable[[str], bool]) -> int:
+    """Number of characters in a histogram that satisfy ``predicate``."""
+    return sum(n for char, n in counts.items() if predicate(char))
+
+
+@functools.cache
+def _scientific_terms() -> frozenset[str]:
+    """Lexicon terms whose presence marks a well-extracted scientific text."""
+    return frozenset(lexicon.all_scientific_terms()) | frozenset(lexicon.ACADEMIC_NOUNS)
+
 
 #: Names of the features produced by :class:`TextStatisticsExtractor`, in order.
 TEXT_FEATURE_NAMES: tuple[str, ...] = (
@@ -74,43 +88,45 @@ class TextStatisticsExtractor:
         n_chars = len(text)
         if n_chars == 0:
             return np.zeros(self.n_features, dtype=np.float64)
-        chars = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
-        whitespace = np.isin(chars, np.asarray([ord(c) for c in " \t\n\r"], dtype=np.uint32))
-        is_alpha = np.asarray([c.isalpha() for c in text], dtype=bool)
-        is_digit = np.asarray([c.isdigit() for c in text], dtype=bool)
-        is_upper = np.asarray([c.isupper() for c in text], dtype=bool)
-        non_ascii = chars > 127
-        math_glyphs = np.asarray([c in _MATH_GLYPHS for c in text], dtype=bool)
-        punctuation = ~(is_alpha | is_digit | whitespace)
+        # Exact class counts from a character histogram: each distinct
+        # character is classified once.  Whitespace, alpha, digit and the
+        # rest are mutually exclusive, so punctuation is the remainder.
+        counts = Counter(text)
+        whitespace = sum(counts[c] for c in " \t\n\r")
+        alpha = _count_where(counts, str.isalpha)
+        digit = _count_where(counts, str.isdigit)
+        upper = _count_where(counts, str.isupper)
+        non_ascii = _count_where(counts, lambda c: c > "\x7f")
+        math_glyphs = _count_where(counts, _MATH_GLYPHS.__contains__)
+        punctuation = n_chars - alpha - digit - whitespace
 
         words = text.split()
         n_words = max(1, len(words))
-        word_lengths = np.asarray([len(w) for w in words], dtype=np.float64) if words else np.zeros(1)
-        alpha_words = [w for w in words if _WORD_RE.fullmatch(w)]
-        vowel_free = sum(1 for w in alpha_words if len(w) >= 4 and not (set(w.lower()) & _VOWELS))
-        long_words = sum(1 for w in words if len(w) > 18)
-        single_char_words = sum(1 for w in words if len(w) == 1)
+        word_lengths = list(map(len, words))
+        mean_word_length = sum(word_lengths) / len(words) if words else 0.0
+        vowel_free = sum(1 for w in words if _VOWEL_FREE_WORD_RE.fullmatch(w))
+        long_words = sum(1 for n in word_lengths if n > 18)
+        single_char_words = word_lengths.count(1)
         repeated_runs = len(re.findall(r"(.)\1{3,}", text))
         lines = [ln for ln in text.split("\n") if ln.strip()]
-        line_length_mean = float(np.mean([len(ln) for ln in lines])) if lines else 0.0
+        line_length_mean = sum(map(len, lines)) / len(lines) if lines else 0.0
         hyphen_breaks = text.count("-\n")
 
         lowercase_words = {w.lower().strip(".,;:()") for w in words}
-        scientific_terms = set(lexicon.all_scientific_terms()) | set(lexicon.ACADEMIC_NOUNS)
-        lexicon_hits = len(lowercase_words & scientific_terms)
+        lexicon_hits = len(lowercase_words & _scientific_terms())
 
         features = np.asarray(
             [
                 math.log1p(n_chars),
                 math.log1p(len(words)),
-                float(np.mean(word_lengths)),
-                float(np.mean(whitespace)),
-                float(np.mean(is_alpha)),
-                float(np.mean(is_digit)),
-                float(np.mean(punctuation)),
-                float(np.mean(is_upper)),
-                float(np.mean(non_ascii)),
-                float(np.mean(math_glyphs)),
+                mean_word_length,
+                whitespace / n_chars,
+                alpha / n_chars,
+                digit / n_chars,
+                punctuation / n_chars,
+                upper / n_chars,
+                non_ascii / n_chars,
+                math_glyphs / n_chars,
                 vowel_free / n_words,
                 long_words / n_words,
                 single_char_words / n_words,

@@ -7,11 +7,14 @@ while still exercising real end-to-end paths.
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 
 from repro.documents.corpus import Corpus, CorpusConfig, build_corpus, build_document
 from repro.documents.document import SciDocument
+from repro.obs.logging import ROOT_LOGGER_NAME
 from repro.parsers.registry import ParserRegistry, default_registry
 
 
@@ -43,3 +46,18 @@ def sample_document() -> SciDocument:
 def rng() -> np.random.Generator:
     """A fresh seeded generator per test."""
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(autouse=True)
+def restore_repro_logger():
+    """Undo any ``obs.logging.setup()`` a test (or a CLI it runs) performed.
+
+    A handler left on the ``repro`` root logger would keep writing to a
+    capture stream pytest has already closed.
+    """
+    logger = logging.getLogger(ROOT_LOGGER_NAME)
+    saved = (list(logger.handlers), logger.level, logger.propagate)
+    yield
+    logger.handlers[:] = saved[0]
+    logger.setLevel(saved[1])
+    logger.propagate = saved[2]

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import typing
+
 import numpy as np
 import pytest
 
 from repro.core.config import AdaParseConfig
-from repro.core.engine import RoutingSummary
+from repro.core.engine import AdaParseEngine, RoutingSummary
 from repro.core.training import AdaParseTrainer, TrainerSettings
 from repro.documents.augment import strip_text_layers
 from repro.documents.corpus import CorpusConfig, build_corpus
@@ -42,6 +44,11 @@ def fast_settings() -> TrainerSettings:
 def trained_ft(training_corpus, fast_settings):
     trainer = AdaParseTrainer(default_registry(), fast_settings)
     return trainer.train_ft(training_corpus)
+
+
+def test_engine_annotations_resolve():
+    for method in (AdaParseEngine.parse_batches, AdaParseEngine.iter_parse):
+        assert "documents" in typing.get_type_hints(method)
 
 
 class TestConfig:

@@ -19,6 +19,7 @@ import time
 import pytest
 
 from repro.cache import ParseCache
+from repro.cache.singleflight import Flight, SingleFlight
 from repro.gateway import (
     AuthRegistry,
     ClientQuota,
@@ -50,10 +51,43 @@ class SnailParser(Parser):
         return [f"{document.doc_id}:p{i}" for i in range(document.n_pages)]
 
 
-def make_service(max_active: int = 4, sleep_seconds: float = 0.02) -> ParseService:
+class LatchedSnailParser(SnailParser):
+    """Snail whose first parse waits until ``release`` is set (or 60 s)."""
+
+    def __init__(self, sleep_seconds: float, release: threading.Event) -> None:
+        super().__init__(sleep_seconds)
+        self.release = release
+        self._first = threading.Lock()
+
+    def _parse_pages(self, document, rng):
+        if self._first.acquire(blocking=False):
+            self.release.wait(timeout=60)
+        return super()._parse_pages(document, rng)
+
+
+class JoinSignallingFlights(SingleFlight):
+    """Single-flight registry that sets ``joined`` once a caller coalesces."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.joined = threading.Event()
+
+    def begin(self, key: str) -> tuple[bool, Flight]:
+        owner, flight = super().begin(key)
+        if not owner:
+            self.joined.set()
+        return owner, flight
+
+
+def make_service(
+    max_active: int = 4,
+    sleep_seconds: float = 0.02,
+    parser: Parser | None = None,
+    cache: ParseCache | None = None,
+) -> ParseService:
     registry = ParserRegistry()
-    registry.register(SnailParser(sleep_seconds))
-    pipeline = ParsePipeline(registry=registry, cache=ParseCache())
+    registry.register(parser or SnailParser(sleep_seconds))
+    pipeline = ParsePipeline(registry=registry, cache=cache or ParseCache())
     config = ServiceConfig(max_active=max_active, backend_options={"n_jobs": 4})
     return ParseService(pipeline=pipeline, config=config)
 
@@ -398,15 +432,18 @@ class TestManyClientsE2E:
     N_CLIENTS = 50
 
     def test_fifty_concurrent_clients_share_one_parse(self):
-        # The parse phase must dominate the per-ticket corpus synthesis,
-        # or the first ticket finishes parsing before its peers reach the
-        # cache and nothing coalesces — hence the deliberately slow snail.
+        # Overlap is forced, not left to machine load: the first parse is
+        # held until another ticket has joined an in-flight key, so at
+        # least one lookup must coalesce onto a parse that is still running.
         request = snail_request(n_documents=16, seed=11, batch_size=4, cache="readwrite")
         outcomes: dict[int, dict] = {}
         failures: list[BaseException] = []
         lock = threading.Lock()
+        cache = ParseCache()
+        cache.flights = JoinSignallingFlights()
+        parser = LatchedSnailParser(0.1, release=cache.flights.joined)
 
-        with make_service(max_active=8, sleep_seconds=0.1) as service:
+        with make_service(max_active=8, parser=parser, cache=cache) as service:
             with GatewayServer(service, port=0, max_queue_depth=64) as server:
                 barrier = threading.Barrier(self.N_CLIENTS)
 

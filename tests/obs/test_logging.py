@@ -6,25 +6,9 @@ import io
 import json
 import logging
 
-import pytest
-
-from repro.obs import logging as obs_logging
 from repro.obs import tracing
 from repro.obs.logging import get_logger, log_event, setup
 from repro.obs.tracing import TraceContext
-
-
-@pytest.fixture()
-def root():
-    """The repro root logger, restored to library defaults afterwards."""
-    logger = logging.getLogger(obs_logging.ROOT_LOGGER_NAME)
-    saved_level, saved_propagate = logger.level, logger.propagate
-    yield logger
-    for handler in list(logger.handlers):
-        if getattr(handler, "_repro_obs_handler", False):
-            logger.removeHandler(handler)
-    logger.setLevel(saved_level)
-    logger.propagate = saved_propagate
 
 
 def test_get_logger_prefixes_bare_names():
@@ -33,9 +17,9 @@ def test_get_logger_prefixes_bare_names():
     assert get_logger().name == "repro"
 
 
-def test_setup_is_idempotent(root):
+def test_setup_is_idempotent():
     setup(stream=io.StringIO())
-    setup(stream=io.StringIO())
+    root = setup(stream=io.StringIO())
     obs_handlers = [
         h for h in root.handlers if getattr(h, "_repro_obs_handler", False)
     ]
@@ -43,7 +27,7 @@ def test_setup_is_idempotent(root):
     assert root.propagate is False
 
 
-def test_json_mode_emits_ndjson_with_fields(root):
+def test_json_mode_emits_ndjson_with_fields():
     stream = io.StringIO()
     setup(level="debug", json_mode=True, stream=stream)
     log_event(get_logger("test"), "info", "thing_happened", count=3, name="x")
@@ -57,7 +41,7 @@ def test_json_mode_emits_ndjson_with_fields(root):
     assert "ts" in payload
 
 
-def test_json_mode_injects_active_trace_id(root):
+def test_json_mode_injects_active_trace_id():
     stream = io.StringIO()
     setup(json_mode=True, stream=stream)
     context = TraceContext.new()
@@ -67,7 +51,7 @@ def test_json_mode_injects_active_trace_id(root):
     assert payload["trace_id"] == context.trace_id
 
 
-def test_text_mode_single_line_with_kv_pairs(root):
+def test_text_mode_single_line_with_kv_pairs():
     stream = io.StringIO()
     setup(stream=stream)
     log_event(get_logger("test"), "warning", "watch_out", ticket="t1")
@@ -78,7 +62,7 @@ def test_text_mode_single_line_with_kv_pairs(root):
     assert "ticket=t1" in line
 
 
-def test_log_event_accepts_int_and_string_levels(root):
+def test_log_event_accepts_int_and_string_levels():
     stream = io.StringIO()
     setup(level="warning", json_mode=True, stream=stream)
     logger = get_logger("test")
@@ -89,7 +73,7 @@ def test_log_event_accepts_int_and_string_levels(root):
     assert events == ["kept_int", "kept_str"]
 
 
-def test_level_filtering(root):
+def test_level_filtering():
     stream = io.StringIO()
     setup(level="error", json_mode=True, stream=stream)
     log_event(get_logger("test"), "info", "quiet")
