@@ -33,6 +33,10 @@ from repro.gateway.protocol import MessageChannel, ProtocolError
 from repro.obs import tracing as _tracing
 from repro.serve.events import ProgressEvent
 
+#: Reply key under which the reader thread hands a ``submitted`` reply's
+#: registered :class:`RemoteTicket` to the waiting request.
+_HANDLE = "_handle"
+
 
 class GatewayError(RuntimeError):
     """A gateway request failed (error reply, timeout, or protocol fault)."""
@@ -192,8 +196,10 @@ class GatewayClient:
         self._rpc_pending = False
         self._pending_lock = threading.Lock()
         self._route_lock = threading.Lock()
+        #: Handles with a stream still open, by ticket id.  A handle leaves
+        #: the map when its terminal event is delivered, so the map holds
+        #: only live tickets however long the connection lives.
         self._tickets: dict[str, RemoteTicket] = {}
-        self._orphan_events: dict[str, list[ProgressEvent]] = {}
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -273,6 +279,12 @@ class GatewayClient:
                     with self._pending_lock:
                         pending = self._rpc_pending
                     if pending:
+                        if kind == protocol.SUBMITTED:
+                            # The server answers a submit or resume before
+                            # it starts the ticket's stream on this channel,
+                            # so registering here, ahead of the requester,
+                            # means every event finds its handle.
+                            message[_HANDLE] = self._register(message)
                         self._replies.put(message)
                     # else: an unsolicited frame (connection-level error)
                     # with no request awaiting it — drop rather than hand
@@ -286,22 +298,26 @@ class GatewayClient:
         event = ProgressEvent.from_json_dict(dict(message.get("event") or {}))
         with self._route_lock:
             ticket = self._tickets.get(event.ticket_id)
-            if ticket is None:
-                # The streamer can outrun submit()'s bookkeeping: hold
-                # events until the ticket handle registers.
-                self._orphan_events.setdefault(event.ticket_id, []).append(event)
-                return
+            if ticket is not None and event.terminal:
+                # The caller's handle keeps its buffer.
+                del self._tickets[event.ticket_id]
+        if ticket is None:
+            # A second stream of a ticket whose handle already finished
+            # (submit and resume on one connection): nothing new to say.
+            return
         ticket._deliver(event)
 
-    def _register(self, ticket: RemoteTicket) -> RemoteTicket:
+    def _register(self, reply: dict[str, Any]) -> RemoteTicket:
+        """The live handle of a ``submitted`` reply's ticket (new or existing)."""
+        ticket_id = str(reply["ticket_id"])
+        trace_id = reply.get("trace_id")
         with self._route_lock:
-            existing = self._tickets.get(ticket.id)
-            if existing is not None:
-                return existing
-            self._tickets[ticket.id] = ticket
-            orphans = self._orphan_events.pop(ticket.id, [])
-        for event in orphans:
-            ticket._deliver(event)
+            ticket = self._tickets.get(ticket_id)
+            if ticket is None:
+                ticket = RemoteTicket(
+                    ticket_id, trace_id=str(trace_id) if trace_id is not None else None
+                )
+                self._tickets[ticket_id] = ticket
         return ticket
 
     def _on_connection_end(self) -> None:
@@ -370,13 +386,7 @@ class GatewayClient:
     def _accept_ticket(self, reply: dict[str, Any]) -> RemoteTicket:
         kind = reply.get("type")
         if kind == protocol.SUBMITTED:
-            trace_id = reply.get("trace_id")
-            return self._register(
-                RemoteTicket(
-                    str(reply["ticket_id"]),
-                    trace_id=str(trace_id) if trace_id is not None else None,
-                )
-            )
+            return reply[_HANDLE]
         if kind == protocol.REJECTED:
             raise GatewayRejected(
                 str(reply.get("reason", "unknown")),

@@ -170,6 +170,12 @@ class FastTextModel:
             # residuals rather than the global offset.
             self.head_bias = targets.mean(axis=0).astype(np.float64)
         cached_ids = [self.bucket_ids(t) for t in texts]
+        # The embedding gradient is an exact float64 scatter (see below).
+        assert self.embeddings.dtype == np.float64
+        # Refilled every batch: one column per embedding dimension, then the
+        # C-contiguous (n_buckets, dim) gradient handed to the optimiser.
+        grad_columns = np.empty((cfg.embedding_dim, cfg.n_buckets), dtype=np.float64)
+        grad_emb = np.empty(self.embeddings.shape, dtype=np.float64)
         optimizer = AdamOptimizer(learning_rate=cfg.learning_rate, weight_decay=cfg.l2)
         params = {
             "embeddings": self.embeddings,
@@ -189,9 +195,21 @@ class FastTextModel:
                 grad_head_w = hidden.T @ grad_logits
                 grad_head_b = grad_logits.sum(axis=0)
                 grad_hidden = grad_logits @ self.head_weight.T
-                grad_emb = np.zeros_like(self.embeddings)
-                for row, ids in enumerate(ids_batch):
-                    np.add.at(grad_emb, ids, grad_hidden[row] / len(ids))
+                # Each text spreads grad_hidden[row] / len(ids) over its ids.
+                # bincount is exactly the scatter-add: for every bucket it
+                # adds the weights into a zeroed float64 slot in input order,
+                # one rounding per add, so each (bucket, dim) sees the same
+                # sum in the same order as a per-row np.add.at would.
+                lengths = np.fromiter((len(ids) for ids in ids_batch), dtype=np.int64)
+                all_ids = np.concatenate(ids_batch)
+                per_row = grad_hidden / lengths[:, None]
+                for dim in range(cfg.embedding_dim):
+                    grad_columns[dim] = np.bincount(
+                        all_ids,
+                        weights=np.repeat(per_row[:, dim], lengths),
+                        minlength=cfg.n_buckets,
+                    )
+                np.copyto(grad_emb, grad_columns.T)
                 grads = {
                     "embeddings": grad_emb,
                     "head_weight": grad_head_w,

@@ -21,7 +21,23 @@ ParamDict = dict[str, np.ndarray]
 
 @dataclass
 class AdamOptimizer:
-    """Adam optimiser over a named parameter dictionary."""
+    """Adam optimiser over a named parameter dictionary.
+
+    Per parameter name it keeps the moments ``m`` and ``v`` and two scratch
+    arrays of the gradient's shape, and :meth:`step` updates all four in
+    place (``out=``).  A step therefore allocates nothing parameter-sized,
+    except the new gradient that weight decay makes (``g + wd * p``); the
+    caller's gradient arrays are only read.  The in-place form performs the
+    same floating-point operations in the same order as the textbook
+    expression, one rounding each, so the parameters come out bit for bit
+    the same:
+
+    - ``m = b1 * m + (1 - b1) * g``
+    - ``v = b2 * v + (1 - b2) * (g * g)``
+    - ``m_hat = m / (1 - b1**t)``, then ``lr * m_hat``
+    - ``v_hat = v / (1 - b2**t)``, then ``sqrt(v_hat) + eps``
+    - ``p -= (lr * m_hat) / (sqrt(v_hat) + eps)``
+    """
 
     learning_rate: float = 1e-3
     beta1: float = 0.9
@@ -30,34 +46,48 @@ class AdamOptimizer:
     weight_decay: float = 0.0
     _m: ParamDict = field(default_factory=dict, init=False, repr=False)
     _v: ParamDict = field(default_factory=dict, init=False, repr=False)
+    _scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False
+    )
     _t: int = field(default=0, init=False, repr=False)
 
     def step(self, params: ParamDict, grads: ParamDict) -> None:
         """Update ``params`` in place given ``grads`` (missing keys are skipped)."""
         self._t += 1
         t = self._t
+        b1, b2 = self.beta1, self.beta2
         for name, grad in grads.items():
             if name not in params:
                 continue
             if self.weight_decay > 0.0:
                 grad = grad + self.weight_decay * params[name]
             m = self._m.get(name)
-            v = self._v.get(name)
             if m is None:
-                m = np.zeros_like(grad)
-                v = np.zeros_like(grad)
-            m = self.beta1 * m + (1.0 - self.beta1) * grad
-            v = self.beta2 * v + (1.0 - self.beta2) * (grad * grad)
-            self._m[name] = m
-            self._v[name] = v
-            m_hat = m / (1.0 - self.beta1**t)
-            v_hat = v / (1.0 - self.beta2**t)
-            params[name] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+                m = self._m[name] = np.zeros_like(grad)
+                self._v[name] = np.zeros_like(grad)
+                self._scratch[name] = (np.empty_like(grad), np.empty_like(grad))
+            v = self._v[name]
+            step_size, denom = self._scratch[name]
+            np.multiply(m, b1, out=m)
+            np.multiply(grad, 1.0 - b1, out=step_size)
+            np.add(m, step_size, out=m)
+            np.multiply(grad, grad, out=denom)
+            np.multiply(denom, 1.0 - b2, out=denom)
+            np.multiply(v, b2, out=v)
+            np.add(v, denom, out=v)
+            np.divide(m, 1.0 - b1**t, out=step_size)
+            np.multiply(step_size, self.learning_rate, out=step_size)
+            np.divide(v, 1.0 - b2**t, out=denom)
+            np.sqrt(denom, out=denom)
+            np.add(denom, self.epsilon, out=denom)
+            np.divide(step_size, denom, out=step_size)
+            params[name] -= step_size
 
     def reset(self) -> None:
-        """Clear optimiser state (moments and step counter)."""
+        """Clear optimiser state (moments, scratch arrays and step counter)."""
         self._m.clear()
         self._v.clear()
+        self._scratch.clear()
         self._t = 0
 
 

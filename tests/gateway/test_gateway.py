@@ -409,6 +409,27 @@ class TestReconnectResume:
             replay = list(later.resume(ticket.id).events(timeout=30))
         assert [e.to_json_dict() for e in replay] == [e.to_json_dict() for e in full]
 
+    def test_finished_tickets_leave_the_client_map_and_still_resume(self, gateway):
+        request = ParseRequest(parser="snail", source="synthetic:1?seed=7")
+        with connect(gateway, client="cycler") as client:
+            tickets = []
+            for _ in range(50):
+                ticket = client.submit(request)
+                client.result(ticket, timeout=30)
+                tickets.append(ticket)
+            assert client._tickets == {}
+            first = [e.to_json_dict() for e in tickets[0].events(timeout=5)]
+            assert first[-1]["kind"] == "completed"  # the handle kept its buffer
+
+            # A stale stream's event for a dropped id is discarded, not held.
+            client._route_event({"event": first[-1]})
+            assert client._tickets == {}
+
+            # Resume by id on the same connection replays the full stream.
+            replay = list(client.resume(tickets[0].id).events(timeout=30))
+            assert [e.to_json_dict() for e in replay] == first
+            assert client._tickets == {}
+
     def test_resume_unknown_ticket_errors(self, gateway):
         with connect(gateway) as client:
             with pytest.raises(GatewayError, match="no ticket"):

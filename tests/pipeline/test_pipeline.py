@@ -194,6 +194,24 @@ class TestPipelineRun:
         assert engine.config.alpha == 0.05
         assert len(report.decisions) == len(small_corpus)
 
+    def test_on_demand_training_is_its_own_phase(self, registry, engine, monkeypatch):
+        import repro.pipeline.pipeline as pipeline_module
+
+        trained = []
+
+        def fake_build(variant, registry):
+            trained.append(variant)
+            return engine
+
+        monkeypatch.setattr(pipeline_module, "build_default_engine", fake_build)
+        pipeline = ParsePipeline(registry)
+        request = ParseRequest(parser="adaparse_ft", source="synthetic:2?seed=3")
+        first = pipeline.run(request)
+        second = pipeline.run(request)
+        assert trained == ["ft"]
+        assert first.phases["engine.train"]["calls"] == 1
+        assert "engine.train" not in second.phases
+
     def test_unknown_parser_lists_known_names(self, registry):
         with pytest.raises(KeyError, match="adaparse_ft"):
             ParsePipeline(registry).run(ParseRequest(parser="nope", n_documents=2))
